@@ -70,7 +70,6 @@ class CodeGen:
         self.depth = 1
         self.regions: list[Region] = []
         self.objects: dict = {}   # names injected into the exec namespace
-        self.gb_ids: list[int] = []
         self.gb_meta: dict[int, tuple] = {}  # gid -> (n_keys, n_aggs)
         self._uid = 0
         self._loop = 0
@@ -298,11 +297,11 @@ class CodeGen:
 
         self.gen(node.probe, probe_consume)
 
-    def gen_groupby_pipeline(self, node: PL.HashGroupBy) -> int:
+    def gen_groupby_pipeline(self, node: PL.HashGroupBy, partial: bool = False) -> int:
         """Emit the pipeline that fills + finalizes one group-by. Returns
-        the group-by id whose ``_gres_{gid}`` frame holds the result."""
+        the group-by id whose ``_gres_{gid}`` frame holds the result;
+        ``partial`` makes it emit mergeable partial aggregates."""
         gid = self.uid()
-        self.gb_ids.append(gid)
         self.gb_meta[gid] = (len(node.keys), len(node.aggs))
         self.objects[f"_AGGS_{gid}"] = list(node.aggs)
         self.objects[f"_KEYS_{gid}"] = list(node.keys)
@@ -335,23 +334,16 @@ class CodeGen:
         ilists = ", ".join(f"{a.out!r}: _gi{gid}_{a.out}" for a in inputs)
         self.emit(
             f"_gres_{gid} = rt.finalize_groupby({{{klists}}}, {{{ilists}}}, "
-            f"_AGGS_{gid}, _KEYS_{gid}, partial={self._partial_here(node)})"
+            f"_AGGS_{gid}, _KEYS_{gid}, partial={partial})"
         )
         self.emit(f"C['groups_{gid}'] = len(_gres_{gid})")
         return gid
-
-    def _partial_here(self, node) -> bool:
-        return bool(getattr(node, "_emit_partial", False))
 
     # -- top level ----------------------------------------------------------
 
     def gen_query(self, plan, partial: bool) -> None:
         if isinstance(plan, PL.HashGroupBy):
-            if partial:
-                object.__setattr__(plan, "_emit_partial", True)
-            gid = self.gen_groupby_pipeline(plan)
-            if partial:
-                object.__setattr__(plan, "_emit_partial", False)
+            gid = self.gen_groupby_pipeline(plan, partial)
             self.root_result_var = f"_gres_{gid}"
         else:
             out_cols = plan.out_cols()

@@ -11,8 +11,14 @@ Spark mapping (DESIGN.md §7):
   build is replicated-read instead of contended-write, which preserves
   the probe-side behaviour under study);
 * pipeline-breaking barrier = Spark's stage boundary;
-* parallel aggregation = per-partition partial aggregates merged by a
-  Catalyst ``groupBy`` (partial/final split from ``common.aggregate``).
+* parallel aggregation = per-morsel partial aggregates, collected with
+  ``toPandas`` and merged on the driver by ``finalize_partials`` (the
+  partial/final split from ``common.aggregate``), so a root pipeline is
+  one ``mapInPandas`` stage with no shuffle.
+
+The partial output's Spark schema is typed statically from the plan and
+the table dtypes (``partial_dtypes``), and a Typer task compiles its
+query once for all its morsels.
 
 Build sides containing a group-by (Q18's 1.5M-group aggregation — the
 query's actual bottleneck) are themselves executed as a parallel
@@ -23,10 +29,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from .common import plan as PL
-from .common.aggregate import partial_columns
+from .common.aggregate import finalize_partials, partial_dtypes
 from .common.hashtable import ChainingHashTable
 from .common.table import Table
 from .vectorized import engine as vec_engine
@@ -40,26 +46,33 @@ def _run_partition(
     plan, engine: str, prebuilt: dict, probe_name: str, vector_size: int,
     dtypes: dict,
 ):
-    """Closure executed by each Spark task over its morsel stream."""
+    """Closure executed by each Spark task over its morsel stream.
+
+    ``dtypes`` is the partial output's static schema. Int columns are
+    cast to pandas' nullable ``Int64``: a global aggregate over a morsel
+    that keeps no row yields NaN, which must reach the driver as null.
+    """
+    cast = {c: "Int64" if t == "int64" else t for c, t in dtypes.items()}
 
     def fn(batches):
         from .compiled import engine as comp_engine
 
+        typer = engine in ("typer", "compiled")
+        if typer:
+            query = comp_engine.compile_plan(plan, partial=True)
         for pdf in batches:
             if len(pdf) == 0:
                 continue
             chunk = Table({c: pdf[c].to_numpy() for c in pdf.columns})
             tables = {probe_name: chunk}
-            if engine in ("typer", "compiled"):
-                out = comp_engine.run_plan(
-                    plan, tables, prebuilt=prebuilt.value, partial=True
-                )
+            if typer:
+                out = query.run(tables, prebuilt=prebuilt.value)
             else:
                 out = vec_engine.run_plan(
                     plan, tables, prebuilt=prebuilt.value,
                     vector_size=vector_size, partial=True,
                 )
-            yield out.astype(dtypes)
+            yield out.astype(cast)
 
     return fn
 
@@ -166,24 +179,7 @@ def run_plan_spark(
         hts[join.name] = _build_ht(df, join, hash_fn)
 
     probe = PL.leaf_scan(plan)
-    probe_pdf = pd.DataFrame(
-        {c: tables[probe.table].columns[c] for c in probe.cols}
-    )
-    bc = spark.sparkContext.broadcast(hts)
-
-    # derive the partial-output schema from a driver-side sample run —
-    # from its *dtypes*, since a highly selective morsel can be empty
-    sample_tab = Table({c: probe_pdf[c].to_numpy()[:64] for c in probe.cols})
-    sample = vec_engine.run_plan(
-        plan, {probe.table: sample_tab}, prebuilt=hts,
-        vector_size=vector_size, partial=True,
-    )
-    from pyspark.sql.types import DoubleType, LongType, StructField, StructType
-
-    dtypes = {
-        c: ("int64" if sample[c].dtype.kind in "iub" else "float64")
-        for c in sample.columns
-    }
+    dtypes = partial_dtypes(plan, tables)
     schema = StructType(
         [
             StructField(c, LongType() if t == "int64" else DoubleType())
@@ -194,29 +190,13 @@ def run_plan_spark(
     if probe_sdf is not None:
         sdf = probe_sdf
     else:
-        sdf = spark.createDataFrame(probe_pdf).repartition(n_partitions)
+        sdf = spark.createDataFrame(
+            pd.DataFrame({c: tables[probe.table].columns[c] for c in probe.cols})
+        ).repartition(n_partitions)
+    bc = spark.sparkContext.broadcast(hts)
     partials = sdf.mapInPandas(
         _run_partition(plan, engine, bc, probe.table, vector_size, dtypes),
         schema,
-    )
-
-    # Catalyst final aggregation over the partial aggregates
-    merge = []
-    for a in plan.aggs:
-        for col, fn in partial_columns(a):
-            merge.append(getattr(F, fn)(col).alias(col))
-    if plan.keys:
-        merged = partials.groupBy(*plan.keys).agg(*merge)
-    else:
-        merged = partials.agg(*merge)
-    final_cols = [F.col(k) for k in plan.keys]
-    for a in plan.aggs:
-        if a.fn == "avg":
-            final_cols.append(
-                (F.col(f"{a.out}__sum") / F.col(f"{a.out}__cnt")).alias(a.out)
-            )
-        else:
-            final_cols.append(F.col(a.out))
-    result = merged.select(*final_cols).toPandas()
+    ).toPandas()
     bc.unpersist()
-    return result
+    return finalize_partials(partials, plan.keys, plan.aggs)

@@ -76,9 +76,12 @@ def measured_rows(
     The probe table is uploaded + cached per partition count, and each
     configuration is warmed up once and timed best-of-``runs``, so the
     numbers measure morsel execution, not driver->JVM serialization.
-    Note: at laptop scale, Spark's constant per-stage costs (~1s) mask
-    scaling unless the per-morsel work is large — use SF >= 0.4 and a
-    ``queries_subset`` like ('q1', 'q9') for meaningful curves.
+    Each query is one ``mapInPandas`` stage over the cached probe (its
+    partial aggregates are merged on the driver), plus one sub-stage per
+    group-by build side (Q18). At laptop scale Spark's constant per-stage
+    cost still masks scaling unless the per-morsel work is large — use
+    SF >= 0.4 and a ``queries_subset`` like ('q1', 'q9') for meaningful
+    curves.
     """
     _, enc, queries = common.load_workload("tpch", sf, q18_threshold)
     if queries_subset:

@@ -9,9 +9,11 @@ from repro.core.common.aggregate import (
     aggregate_pandas,
     finalize_partials,
     partial_columns,
+    partial_dtypes,
 )
-from repro.core.common.plan import Agg
-from repro.core.common.expr import Col
+from repro.core.common.plan import Agg, HashGroupBy, HashJoin, Project, Scan
+from repro.core.common.expr import Arith, Cmp, Col, Const
+from repro.core.common.table import Table
 
 AGGS = (
     Agg("s", "sum", Col("v")),
@@ -126,3 +128,113 @@ def test_composite_group_keys():
     ref = pd.DataFrame({"a": k1, "b": k2, "v": v}).groupby(["a", "b"])["v"].sum().reset_index(name="s")
     got = got.sort_values(["a", "b"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, ref.sort_values(["a", "b"]).reset_index(drop=True), check_dtype=False)
+
+
+def test_finalize_global_over_empty_partials():
+    """No partial row (every morsel empty): counts are 0, the rest NaN,
+    as SQL gives NULL for sum/min/max/avg over no row."""
+    aggs = AGGS
+    cols = [c for a in aggs for c, _ in partial_columns(a)]
+    got = finalize_partials(pd.DataFrame({c: [] for c in cols}), [], aggs)
+    assert got["c"][0] == 0
+    for out in ("s", "mn", "mx", "a"):
+        assert np.isnan(got[out][0]), out
+
+
+def test_finalize_global_skips_empty_morsel_partials():
+    """A morsel whose filter keeps no row contributes NaN partials that
+    must not turn the merged sum/min/max into NaN or 0."""
+    v = np.array([2.0, 5.0, 3.0])
+    parts = pd.concat(
+        [
+            aggregate_pandas({}, {x.out: v for x in AGGS if x.fn != "count"}, AGGS, [], partial=True),
+            aggregate_pandas({}, {x.out: v[:0] for x in AGGS if x.fn != "count"}, AGGS, [], partial=True),
+        ],
+        ignore_index=True,
+    )
+    got = finalize_partials(parts, [], AGGS)
+    assert (got["s"][0], got["c"][0], got["mn"][0], got["mx"][0]) == (10.0, 3, 2.0, 5.0)
+    assert got["a"][0] == pytest.approx(10.0 / 3)
+
+
+def test_finalize_keyed_over_empty_partials():
+    cols = ["k"] + [c for a in AGGS for c, _ in partial_columns(a)]
+    got = finalize_partials(pd.DataFrame({c: [] for c in cols}), ["k"], AGGS)
+    assert len(got) == 0
+    assert list(got.columns) == ["k"] + [a.out for a in AGGS]
+
+
+def test_partial_dtypes_rules():
+    tables = {
+        "t": Table({"i": np.arange(3, dtype="int32"), "f": np.ones(3)}),
+        "b": Table({"bk": np.arange(3), "bf": np.ones(3), "bi": np.arange(3)}),
+    }
+    proj = Project(
+        HashJoin(Scan("b", ("bk", "bf", "bi")), Scan("t", ("i", "f")),
+                 ("bk",), ("i",), ("bf", "bi")),
+        (
+            ("k", Col("i")),
+            ("div", Arith("/", Col("i"), Const(2))),
+            ("isum", Arith("+", Col("i"), Col("bi"))),
+            ("fsum", Arith("*", Col("i"), Col("f"))),
+            ("fconst", Arith("-", Const(1.0), Col("i"))),
+            ("flag", Cmp("<", Col("f"), Const(0.5))),
+            ("bf", Col("bf")),
+            ("bi", Col("bi")),
+        ),
+    )
+    plan = HashGroupBy(
+        proj,
+        ("k", "flag"),
+        (
+            Agg("c", "count"),
+            Agg("s_div", "sum", Col("div")),
+            Agg("mn_isum", "min", Col("isum")),
+            Agg("mx_fsum", "max", Col("fsum")),
+            Agg("a_bi", "avg", Col("bi")),
+            Agg("s_fconst", "sum", Col("fconst")),
+            Agg("s_bf", "sum", Col("bf")),
+        ),
+    )
+    assert partial_dtypes(plan, tables) == {
+        "k": "int64",
+        "flag": "int64",
+        "c": "int64",
+        "s_div": "float64",
+        "mn_isum": "int64",
+        "mx_fsum": "float64",
+        "a_bi__sum": "int64",
+        "a_bi__cnt": "int64",
+        "s_fconst": "float64",
+        "s_bf": "float64",
+    }
+
+
+@pytest.mark.parametrize("engine", ["typer", "tectorwise"])
+def test_partial_dtypes_match_engine_partials(engine):
+    """The static schema names the engines' partial columns, in order,
+    with the kinds the engines produce on a non-empty input."""
+    from repro.queries import tpch
+    from repro.runner import prepare_tpch, run_query
+
+    _, enc = prepare_tpch(0.005)
+    for name, q in tpch.all_queries(enc, q18_threshold=150.0).items():
+        got = run_query(q, enc, engine, decode=False, partial=True)
+        assert len(got), name
+        dtypes = partial_dtypes(q.plan, enc)
+        assert list(dtypes) == list(got.columns), name
+        kinds = {c: "int64" if got[c].dtype.kind in "iub" else "float64" for c in got}
+        assert kinds == dtypes, name
+
+
+def test_q18_partial_schema_types_totalprice_float():
+    """Q18's o_totalprice reaches the root group-by as a join payload;
+    typing it from a sample that found no group truncated it to int."""
+    from repro.queries import tpch
+    from repro.runner import prepare_tpch
+
+    _, enc = prepare_tpch(0.005)
+    dtypes = partial_dtypes(tpch.all_queries(enc)["q18"].plan, enc)
+    assert dtypes["o_totalprice"] == "float64"
+    assert dtypes["total_qty"] == "float64"
+    assert dtypes["o_orderkey"] == "int64"
