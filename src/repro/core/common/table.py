@@ -59,14 +59,13 @@ class Table:
         return int(sum(self.columns[c].nbytes for c in names))
 
     @classmethod
-    def from_pandas(cls, pdf: pd.DataFrame, shared_dicts: dict | None = None) -> "Table":
+    def from_pandas(cls, pdf: pd.DataFrame) -> "Table":
         """Encode a pandas frame.
 
-        ``shared_dicts`` maps column name -> fixed dictionary (np.ndarray of
-        strings). When given (the Spark morsel path, where every partition
-        must agree on codes), values are encoded against it; unseen values
-        raise. Otherwise dictionaries are built per column by first
-        appearance order (deterministic for a deterministic generator).
+        Dictionaries are built per column by first appearance order
+        (deterministic for a deterministic generator). The Spark morsel
+        path ships the encoded columns, so its partitions share these
+        codes without re-encoding.
         """
         columns: dict[str, np.ndarray] = {}
         dicts: dict[str, np.ndarray] = {}
@@ -75,35 +74,11 @@ class Table:
             if pd.api.types.is_datetime64_any_dtype(s):
                 columns[c] = date_to_int(s)
             elif s.dtype == object or pd.api.types.is_string_dtype(s):
-                if shared_dicts and c in shared_dicts:
-                    cat = pd.Categorical(s, categories=shared_dicts[c])
-                    codes = cat.codes
-                    if (codes < 0).any():
-                        raise ValueError(f"value outside shared dictionary in {c}")
-                    columns[c] = codes.astype("int32")
-                    dicts[c] = np.asarray(shared_dicts[c], dtype=object)
-                else:
-                    codes, uniques = pd.factorize(s)
-                    columns[c] = codes.astype("int32")
-                    dicts[c] = np.asarray(uniques, dtype=object)
+                codes, uniques = pd.factorize(s)
+                columns[c] = codes.astype("int32")
+                dicts[c] = np.asarray(uniques, dtype=object)
             elif pd.api.types.is_float_dtype(s):
                 columns[c] = s.to_numpy(dtype="float64")
             else:
                 columns[c] = s.to_numpy(dtype="int64")
         return cls(columns, dicts)
-
-    def decode(self, pdf: pd.DataFrame) -> pd.DataFrame:
-        """Decode coded columns of a result frame that carry our column names."""
-        out = pdf.copy()
-        for c in out.columns:
-            if c in self.dicts:
-                out[c] = self.dicts[c][out[c].to_numpy().astype("int64")]
-        return out
-
-    def slice(self, lo: int, hi: int) -> "Table":
-        return Table({c: a[lo:hi] for c, a in self.columns.items()}, self.dicts)
-
-
-def encode_tables(tables_pd: dict[str, pd.DataFrame]) -> dict[str, Table]:
-    """Encode every pandas table for engine consumption."""
-    return {name: Table.from_pandas(pdf) for name, pdf in tables_pd.items()}

@@ -19,17 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .. import ENGINES
 from ..common import costs
 from ..common import plan as PL
 from ..common.expr import Col
-from ..common.hashtable import _MASK64, _M, _PHI
+from ..common.hashtable import _MASK64, _PHI
 
-_HASH_INLINE = {
-    # scalar code template for hash of variable {v}; must match hashtable.py
-    "crc": "((({v} * %d) & %d) ^ ((({v} * %d) & %d) >> 29))" % (_PHI, _MASK64, _PHI, _MASK64),
-    "murmur": None,  # murmur needs a temp; Typer uses CRC per the paper
-}
-_HASH_WEIGHT = {"crc": costs.HASH_CRC, "murmur": costs.HASH_MURMUR}
+# Typer's join hash (CRC, §4.1): the table's name, and the inline scalar
+# template for the hash of variable {v}, which must match hashtable.crc_scalar
+_HASH_FN = ENGINES["typer"].hash_fn
+_HASH_INLINE = "((({v} * %d) & %d) ^ ((({v} * %d) & %d) >> 29))" % (
+    _PHI, _MASK64, _PHI, _MASK64,
+)
 
 
 @dataclass
@@ -64,8 +65,7 @@ class _Env(dict):
 
 
 class CodeGen:
-    def __init__(self, hash_fn: str = "crc"):
-        self.hash_fn = hash_fn
+    def __init__(self):
         self.body: list[str] = []
         self.depth = 1
         self.regions: list[Region] = []
@@ -98,7 +98,7 @@ class CodeGen:
         return r
 
     def hash_code(self, var: str) -> str:
-        return _HASH_INLINE[self.hash_fn].format(v=var)
+        return _HASH_INLINE.format(v=var)
 
     # -- produce/consume ----------------------------------------------------
 
@@ -205,7 +205,7 @@ class CodeGen:
 
     def gen_join(self, node: PL.HashJoin, consume) -> None:
         ht = f"ht_{node.name}"
-        hw = _HASH_WEIGHT[self.hash_fn]
+        hw = costs.HASH_CRC
         # ---- build pipeline (skipped when a broadcast table is injected)
         self.emit(f"if {node.name!r} in prebuilt:")
         self.emit(f"    {ht} = prebuilt[{node.name!r}]")
@@ -213,7 +213,7 @@ class CodeGen:
         self.depth += 1
         self.emit(
             f"{ht} = rt.make_ht({len(node.build_keys)}, "
-            f"{list(node.payload)!r}, {self.hash_fn!r})"
+            f"{list(node.payload)!r}, {_HASH_FN!r})"
         )
 
         def build_consume(env, node=node):
@@ -312,9 +312,8 @@ class CodeGen:
             self.emit(f"_gi{gid}_{a.out} = []")
 
         def gb_consume(env, node=node):
-            hw = _HASH_WEIGHT[self.hash_fn]
             self.cur.instr += (
-                hw * max(len(node.keys), 0)
+                costs.HASH_CRC * max(len(node.keys), 0)
                 + costs.HASH_COMBINE * max(len(node.keys) - 1, 0)
                 + (costs.HT_BUCKET + costs.CMP if node.keys else 0)
                 + costs.AGG_UPDATE * len(node.aggs)
@@ -368,7 +367,7 @@ class CodeGen:
         return "\n".join(head + inits + self.body + stores + ret) + "\n"
 
 
-def generate(plan, partial: bool = False, hash_fn: str = "crc") -> CodeGen:
-    cg = CodeGen(hash_fn=hash_fn)
+def generate(plan, partial: bool = False) -> CodeGen:
+    cg = CodeGen()
     cg.gen_query(plan, partial)
     return cg

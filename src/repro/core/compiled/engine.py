@@ -22,9 +22,9 @@ from . import codegen, runtime
 
 
 class CompiledQuery:
-    def __init__(self, plan, partial: bool = False, hash_fn: str = "crc"):
+    def __init__(self, plan, partial: bool = False):
         self.plan = plan
-        self.cg = codegen.generate(plan, partial=partial, hash_fn=hash_fn)
+        self.cg = codegen.generate(plan, partial=partial)
         self.source = self.cg.source()
         ns: dict = dict(self.cg.objects)
         ns["rt"] = runtime
@@ -36,14 +36,10 @@ class CompiledQuery:
         tables: dict[str, Table],
         cm: CostModel | None = None,
         prebuilt: dict | None = None,
-        scan_override: dict | None = None,
     ) -> pd.DataFrame:
-        t = dict(tables)
-        if scan_override:
-            t.update(scan_override)
         C: dict = {}
         hts: dict = {}
-        result = self._fn(t, runtime, hts, C, prebuilt or {})
+        result = self._fn(tables, runtime, hts, C, prebuilt or {})
         if cm is not None:
             self._charge(cm, C, hts)
         return result
@@ -54,13 +50,13 @@ class CompiledQuery:
             for j in PL.joins(self.plan)
         }
 
-    def _resolve_rand(self, kind_name, C, hts, cm, n_region) -> RandAccess:
+    def _resolve_rand(self, kind_name, C, hts, deps, n_region) -> RandAccess:
         kind, name = kind_name
         if kind == "bucket":
-            dep = self._deps.get(name, True)
+            dep = deps.get(name, True)
             return RandAccess(hts[name].bucket_bytes(), 1.0, scale=dep)
         if kind == "entry":
-            dep = self._deps.get(name, True)
+            dep = deps.get(name, True)
             return RandAccess(hts[name].entry_bytes(), 1.0, scale=dep)
         if kind == "group":
             nk, na = self.cg.gb_meta[name]
@@ -97,7 +93,7 @@ class CompiledQuery:
         return ()
 
     def _charge(self, cm: CostModel, C: dict, hts: dict) -> None:
-        self._deps = self._join_scale_deps(cm)
+        deps = self._join_scale_deps(cm)
         by_loop: dict[int, list] = defaultdict(list)
         for r in self.cg.regions:
             by_loop[r.loop_id].append(r)
@@ -126,7 +122,7 @@ class CompiledQuery:
                     n,
                     r.instr * f,
                     rand=tuple(
-                        self._resolve_rand(k, C, hts, cm, n) for k in r.rand
+                        self._resolve_rand(k, C, hts, deps, n) for k in r.rand
                     ),
                     seq_bytes=n * (r.seq_bytes + spill),
                     stream_ws=None,
@@ -135,8 +131,8 @@ class CompiledQuery:
                 )
 
 
-def compile_plan(plan, partial: bool = False, hash_fn: str = "crc") -> CompiledQuery:
-    return CompiledQuery(plan, partial=partial, hash_fn=hash_fn)
+def compile_plan(plan, partial: bool = False) -> CompiledQuery:
+    return CompiledQuery(plan, partial=partial)
 
 
 def run_plan(
@@ -144,10 +140,9 @@ def run_plan(
     tables: dict[str, Table],
     cm: CostModel | None = None,
     prebuilt: dict | None = None,
-    scan_override: dict | None = None,
     partial: bool = False,
 ) -> pd.DataFrame:
     """Compile-and-run convenience wrapper (signature mirrors the
     vectorized engine's ``run_plan``)."""
     q = compile_plan(plan, partial=partial)
-    return q.run(tables, cm=cm, prebuilt=prebuilt, scan_override=scan_override)
+    return q.run(tables, cm=cm, prebuilt=prebuilt)

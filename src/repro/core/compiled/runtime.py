@@ -14,7 +14,7 @@ from ..common.aggregate import aggregate_pandas
 from ..common.hashtable import ChainingHashTable
 
 
-def make_ht(n_key_cols: int, payload_names: list, hash_fn: str = "crc") -> ChainingHashTable:
+def make_ht(n_key_cols: int, payload_names: list, hash_fn: str) -> ChainingHashTable:
     return ChainingHashTable(n_key_cols, payload_names, hash_fn=hash_fn)
 
 

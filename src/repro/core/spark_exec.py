@@ -20,26 +20,26 @@ The partial output's Spark schema is typed statically from the plan and
 the table dtypes (``partial_dtypes``), and a Typer task compiles its
 query once for all its morsels.
 
-Build sides containing a group-by (Q18's 1.5M-group aggregation — the
-query's actual bottleneck) are themselves executed as a parallel
-sub-stage, recursively.
+Build sides run on the driver with Tectorwise, whatever ``engine`` says,
+after every group-by in them (Q18's 1.5M-group aggregation — the query's
+actual bottleneck) has been lifted out and run as its own parallel
+sub-stage. The broadcast hash tables use the chosen engine's hash.
 """
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
+from . import ENGINES
 from .common import plan as PL
 from .common.aggregate import finalize_partials, partial_dtypes
 from .common.hashtable import ChainingHashTable
 from .common.table import Table
 from .vectorized import engine as vec_engine
-from .vectorized import primitives as P
-
-_HASH_FN = {"typer": "crc", "compiled": "crc",
-            "tectorwise": "murmur", "tw": "murmur", "vectorized": "murmur"}
 
 
 def _run_partition(
@@ -57,7 +57,7 @@ def _run_partition(
     def fn(batches):
         from .compiled import engine as comp_engine
 
-        typer = engine in ("typer", "compiled")
+        typer = engine == "typer"
         if typer:
             query = comp_engine.compile_plan(plan, partial=True)
         for pdf in batches:
@@ -77,51 +77,34 @@ def _run_partition(
     return fn
 
 
-def _pandas_select(df: pd.DataFrame, conjuncts) -> pd.DataFrame:
-    cols = {c: df[c].to_numpy() for c in df.columns}
-    mask = np.ones(len(df), dtype=bool)
-    for c in conjuncts:
-        mask &= np.asarray(P.eval_expr(P.None_ctx, c, cols, None), dtype=bool)
-    return df[mask].reset_index(drop=True)
-
-
-def _pandas_project(df: pd.DataFrame, outputs) -> pd.DataFrame:
-    cols = {c: df[c].to_numpy() for c in df.columns}
-    return pd.DataFrame(
-        {name: P.eval_expr(P.None_ctx, e, cols, None) for name, e in outputs}
-    )
-
-
 def _materialize(spark, plan, tables, engine, n_partitions, vector_size) -> pd.DataFrame:
-    """Materialize a build-side subplan; group-bys recurse into a
-    parallel Spark sub-stage, the rest runs on the driver."""
-    if isinstance(plan, PL.HashGroupBy):
-        return run_plan_spark(
-            spark, plan, tables, engine=engine,
-            n_partitions=n_partitions, vector_size=vector_size,
-        )
-    if isinstance(plan, PL.Select):
-        return _pandas_select(
-            _materialize(spark, plan.child, tables, engine, n_partitions, vector_size),
-            plan.conjuncts,
-        )
-    if isinstance(plan, PL.Project):
-        return _pandas_project(
-            _materialize(spark, plan.child, tables, engine, n_partitions, vector_size),
-            plan.outputs,
-        )
-    if isinstance(plan, PL.HashJoin):
-        # recurse into the build (it may hide a big group-by — Q18);
-        # the probe side of a build pipeline runs on the driver
-        bdf = _materialize(
-            spark, plan.build, tables, engine, n_partitions, vector_size
-        )
-        pre = {plan.name: _build_ht(bdf, plan, _HASH_FN[engine])}
-        return vec_engine.run_plan(
-            plan, tables, prebuilt=pre, vector_size=vector_size
-        )
-    # plain scans: driver-side engine run
-    return vec_engine.run_plan(plan, tables, vector_size=vector_size)
+    """Materialize a build-side subplan on the driver with Tectorwise.
+
+    Every group-by in it first runs as its own ``run_plan_spark``
+    sub-stage, and a scan of a driver-side table holding its result
+    takes its place.
+    """
+    lifted: dict[str, Table] = {}
+
+    def lift(node):
+        if isinstance(node, PL.Scan):
+            return node
+        if isinstance(node, PL.HashGroupBy):
+            df = run_plan_spark(
+                spark, node, tables, engine=engine,
+                n_partitions=n_partitions, vector_size=vector_size,
+            )
+            name = f"__groupby_{len(lifted)}"
+            lifted[name] = vec_engine._df_to_table(df)
+            return PL.Scan(name, tuple(df.columns))
+        if isinstance(node, PL.HashJoin):
+            return dataclasses.replace(
+                node, build=lift(node.build), probe=lift(node.probe)
+            )
+        return dataclasses.replace(node, child=lift(node.child))
+
+    build = lift(plan)
+    return vec_engine.run_plan(build, {**tables, **lifted}, vector_size=vector_size)
 
 
 def _build_ht(df: pd.DataFrame, join: PL.HashJoin, hash_fn: str) -> ChainingHashTable:
@@ -167,9 +150,12 @@ def run_plan_spark(
     """Execute a root-aggregation plan morsel-parallel; returns the
     final (coded) result as pandas. Decode with ``plan.decode_result``.
     Pass a ``cached_probe_df`` result as ``probe_sdf`` when timing
-    repeated runs (skips the driver->JVM upload of the probe table)."""
+    repeated runs (skips the driver->JVM upload of the probe table).
+    ``engine`` is a key of ``ENGINES``."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {list(ENGINES)}")
     assert isinstance(plan, PL.HashGroupBy), "root must be an aggregation"
-    hash_fn = _HASH_FN[engine]
+    hash_fn = ENGINES[engine].hash_fn
 
     hts = {}
     for join in _root_pipeline_joins(plan):

@@ -5,8 +5,7 @@ operators. Group-bys anywhere in the plan are materialized to an
 in-memory table and rescanned (pipeline breaker); hash-join build sides
 are drained into the shared chaining hash table with the vectorized
 build path. ``prebuilt`` lets the Spark morsel driver inject broadcast
-hash tables, and ``scan_override`` substitutes a morsel for a base
-table.
+hash tables.
 """
 from __future__ import annotations
 
@@ -14,6 +13,7 @@ import numpy as np
 import pandas as pd
 
 from ...simcpu.model import CostModel, RandAccess
+from .. import ENGINES
 from ..common import costs
 from ..common import plan as PL
 from ..common.expr import Col
@@ -57,10 +57,8 @@ def _df_to_table(df: pd.DataFrame) -> Table:
 
 
 class _Runner:
-    def __init__(self, tables, cm, vector_size, prebuilt, scan_override):
-        self.tables = dict(tables)
-        if scan_override:
-            self.tables.update(scan_override)
+    def __init__(self, tables, cm, vector_size, prebuilt):
+        self.tables = tables
         self.cm = cm
         self.vs = vector_size
         self.prebuilt = prebuilt or {}
@@ -93,11 +91,8 @@ class _Runner:
         need = list(dict.fromkeys(list(join.build_keys) + list(join.payload)))
         df = self._dense_df(op, need, ctx)
         ht = ChainingHashTable(
-            len(join.build_keys), list(join.payload), hash_fn="murmur"
-        )
-        # whether this table's size grows with the modelled scale factor
-        ht.scale_dep = self.cm is None or self.cm.structure_scale(
-            s.table for s in PL.scans(join.build)
+            len(join.build_keys), list(join.payload),
+            hash_fn=ENGINES["tectorwise"].hash_fn,
         )
         keys = [df[k].to_numpy().astype(np.int64) for k in join.build_keys]
         payloads = {p: df[p].to_numpy() for p in join.payload}
@@ -135,12 +130,17 @@ class _Runner:
                     return self.prebuilt[j.name]
                 return self.build_hashtable(j)
 
+            # whether the join's table grows with the modelled scale factor
+            scale_dep = self.cm is None or self.cm.structure_scale(
+                s.table for s in PL.scans(plan.build)
+            )
             return O.HashJoinOp(
                 self.as_operator(plan.probe, ctx),
                 drain,
                 plan.probe_keys,
                 plan.payload,
                 ctx,
+                scale_dep,
             )
         if isinstance(plan, PL.HashGroupBy):
             # pipeline breaker: materialize, then rescan
@@ -155,7 +155,6 @@ def run_plan(
     cm: CostModel | None = None,
     vector_size: int = DEFAULT_VECTOR_SIZE,
     prebuilt: dict | None = None,
-    scan_override: dict | None = None,
     partial: bool = False,
 ) -> pd.DataFrame:
     """Execute ``plan`` and return the result as a pandas DataFrame.
@@ -163,7 +162,7 @@ def run_plan(
     ``partial=True`` makes a root group-by emit mergeable partial
     aggregates (the Spark morsel path's per-partition output).
     """
-    r = _Runner(tables, cm, vector_size, prebuilt, scan_override)
+    r = _Runner(tables, cm, vector_size, prebuilt)
     if isinstance(plan, PL.HashGroupBy):
         return r.groupby_df(plan, partial=partial)
     ctx = r._ctx(plan)

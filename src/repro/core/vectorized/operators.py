@@ -114,12 +114,14 @@ class HashJoinOp:
         probe_keys,
         payload,
         ctx: P.Ctx,
+        scale_dep: bool,  # the table grows with the modelled scale factor
     ):
         self.probe = probe_child
         self.build_drain = build_drain
         self.probe_keys = list(probe_keys)
         self.payload = list(payload)
         self.ctx = ctx
+        self.scale_dep = scale_dep
         self.ht: ChainingHashTable | None = None
 
     def _probe_batch(self, b: Batch):
@@ -134,7 +136,7 @@ class HashJoinOp:
             P.charge(ctx, m, costs.HASH_COMBINE, 2, 1)
         h = ht.hash_vec([k.astype(np.int64) for k in keys])
         # findCandidates: bucket directory lookups, tag-filtered
-        dep = getattr(ht, "scale_dep", True)
+        dep = self.scale_dep
         P.charge(
             ctx, m, costs.HT_BUCKET, 1, 1,
             rand=(RandAccess(ht.bucket_bytes(), 1.0, scale=dep),),

@@ -2,12 +2,10 @@
 
 * Spark SQL with whole-stage codegen — a production *data-centric
   compiled* engine (the paper cites Spark as such);
-* Spark SQL with codegen disabled — Volcano-style interpretation over
-  the same plans (a traditional-engine reference point);
 * DuckDB, single-threaded — a production *vectorized* push-based engine
   (the VectorWise lineage).
 
-All three consume the identical converted tables the oracle uses.
+Both consume the identical converted tables the oracle uses.
 """
 from __future__ import annotations
 
@@ -28,19 +26,13 @@ def register_views(spark: SparkSession, tables: dict[str, pd.DataFrame]) -> None
         df.createOrReplaceTempView(name)
 
 
-def time_spark_sql(
-    spark: SparkSession, sql: str, runs: int = 2, codegen: bool = True
-) -> float:
+def time_spark_sql(spark: SparkSession, sql: str, runs: int = 2) -> float:
     """Best-of-``runs`` wall milliseconds for ``sql`` on Spark SQL."""
-    spark.conf.set("spark.sql.codegen.wholeStage", "true" if codegen else "false")
     best = float("inf")
-    try:
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            spark.sql(sql).collect()
-            best = min(best, (time.perf_counter() - t0) * 1000)
-    finally:
-        spark.conf.set("spark.sql.codegen.wholeStage", "true")
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        spark.sql(sql).collect()
+        best = min(best, (time.perf_counter() - t0) * 1000)
     return best
 
 

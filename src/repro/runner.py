@@ -13,11 +13,9 @@ from functools import lru_cache
 import pandas as pd
 
 from . import synth_data
-from .core import compiled, vectorized
+from .core import ENGINES, compiled, vectorized
 from .core.common.plan import decode_result
 from .core.common.table import Table, to_oracle_pandas
-
-ENGINES = ("typer", "tectorwise")
 
 
 def _prepare(generators: dict, sf: float):
@@ -48,13 +46,14 @@ def run_query(
     decode: bool = True,
     **kw,
 ) -> pd.DataFrame:
-    """Execute ``query.plan`` on the chosen engine, return decoded pandas."""
-    if engine in ("typer", "compiled"):
+    """Execute ``query.plan`` on ``engine`` (a key of ``ENGINES``),
+    return decoded pandas."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {list(ENGINES)}")
+    if engine == "typer":
         df = compiled.run_plan(query.plan, tables_enc, cm=cm, **kw)
-    elif engine in ("tectorwise", "tw", "vectorized"):
+    else:
         df = vectorized.run_plan(
             query.plan, tables_enc, cm=cm, vector_size=vector_size, **kw
         )
-    else:
-        raise ValueError(engine)
     return decode_result(df, query.plan, tables_enc) if decode else df

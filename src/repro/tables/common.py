@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from ..core import ENGINES
 from ..queries import ssb, tpch
 from ..queries.base import FIXED_TABLES
 from ..runner import prepare_ssb, prepare_tpch, run_query
 from ..simcpu import CostModel
 from ..simcpu.hardware import PLATFORMS
-
-ENGINES = (("typer", "Typer"), ("tectorwise", "TW"))
 
 
 def load_workload(workload: str, sf_exec: float, q18_threshold: float = 300.0):
@@ -47,7 +46,7 @@ def counters_for(
     out = {}
     for qname, q in queries.items():
         norm = q.tuples_scanned(enc)
-        for eng, _label in ENGINES:
+        for eng in ENGINES:
             cm = CostModel(
                 hw, size_scale=model_sf / sf_exec, fixed_tables=FIXED_TABLES
             )

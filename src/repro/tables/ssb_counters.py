@@ -1,6 +1,7 @@
 """Paper §4.4 (unnumbered table) — SSB SF=30 CPU counters, 1 thread."""
 from __future__ import annotations
 
+from ..core import ENGINES
 from . import common, fmt
 
 # (cycles, IPC, instr, L1, LLC, branch, memstall) from the paper
@@ -25,7 +26,7 @@ def rows(sf_exec: float = 0.05) -> list[dict]:
         out.append(
             {
                 "query": qname,
-                "engine": "Typer" if eng == "typer" else "TW",
+                "engine": ENGINES[eng].label,
                 "cycles": d["cycles"], "paper_cyc": p[0],
                 "IPC": d["IPC"], "paper_IPC": p[1],
                 "instr": d["instr"], "paper_instr": p[2],

@@ -6,6 +6,7 @@ prints ours next to theirs.
 """
 from __future__ import annotations
 
+from ..core import ENGINES
 from . import common, fmt
 
 # (cycles, IPC, instr, L1miss, LLCmiss, branchmiss) from the paper
@@ -32,7 +33,7 @@ def rows(sf_exec: float = 0.05) -> list[dict]:
         out.append(
             {
                 "query": qname,
-                "engine": "Typer" if eng == "typer" else "TW",
+                "engine": ENGINES[eng].label,
                 "cycles": d["cycles"], "paper_cyc": p[0],
                 "IPC": d["IPC"], "paper_IPC": p[1],
                 "instr": d["instr"], "paper_instr": p[2],

@@ -163,14 +163,6 @@ def test_prebuilt_skips_build(tables):
     assert len(got) == len(ref)
 
 
-def test_scan_override(tables):
-    enc, raw = tables
-    plan = Project(Scan("r", ("k",)), (("k", E.Col("k")),))
-    small = Table({"k": np.array([1, 2, 3], dtype=np.int64)})
-    got = C.run_plan(plan, enc, scan_override={"r": small})
-    assert list(got["k"]) == [1, 2, 3]
-
-
 def test_partial_mode(tables):
     enc, _ = tables
     plan = HashGroupBy(

@@ -10,10 +10,11 @@ from repro.core import spark_exec
 from repro.core.common.aggregate import partial_dtypes
 from repro.core.common.expr import Cmp, Col, Const
 from repro.core.common.plan import (
-    Agg, HashGroupBy, Scan, Select, decode_result, leaf_scan,
+    Agg, HashGroupBy, HashJoin, Scan, Select, decode_result, leaf_scan,
 )
 from repro.core.common.table import Table, to_oracle_pandas
 from repro.core.compiled import engine as comp_engine
+from repro.core.vectorized import engine as vec_engine
 from repro.oracle import assert_pandas_equivalent
 from repro.queries import ssb, tpch
 from repro.runner import prepare_ssb, prepare_tpch
@@ -221,3 +222,39 @@ def test_typer_compiles_once_per_task(tpch_wl, monkeypatch):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         pd.testing.assert_frame_equal(g, w, check_dtype=False)
+
+
+def test_rejects_engine_alias_before_touching_spark(tpch_wl):
+    """Only canonical engine names; the check precedes any Spark call."""
+    _, enc, queries = tpch_wl
+    with pytest.raises(ValueError):
+        spark_exec.run_plan_spark(None, queries["q1"].plan, enc, engine="tw")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_materialize_lifts_groupby(tpch_wl, monkeypatch, engine):
+    """Q18's build runs its l_orderkey group-by as one sub-stage and the
+    rest serially, giving the serial build's rows."""
+    _, enc, queries = tpch_wl
+    join = queries["q18"].plan.child
+    assert isinstance(join, HashJoin)
+
+    stages = []
+
+    def serial_stage(spark, plan, tables, engine, n_partitions, vector_size):
+        stages.append(plan)
+        return vec_engine.run_plan(plan, tables, vector_size=vector_size)
+
+    monkeypatch.setattr(spark_exec, "run_plan_spark", serial_stage)
+    got = spark_exec._materialize(None, join.build, enc, engine, 4, 1000)
+    assert len(stages) == 1
+    assert isinstance(stages[0], HashGroupBy)
+    assert stages[0].keys == ("l_orderkey",)
+
+    want = vec_engine.run_plan(join.build, enc)
+    cols = list(want.columns)
+    assert list(got.columns) == cols
+    pd.testing.assert_frame_equal(
+        got.sort_values(cols).reset_index(drop=True),
+        want.sort_values(cols).reset_index(drop=True),
+    )

@@ -1,9 +1,9 @@
-"""Columnar Table encoding: dates, dictionaries, decode, oracle view."""
+"""Columnar Table encoding: dates, dictionaries, oracle view."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.common.table import Table, date_to_int, dlit, encode_tables, to_oracle_pandas
+from repro.core.common.table import Table, date_to_int, dlit, to_oracle_pandas
 
 
 @pytest.fixture()
@@ -47,37 +47,6 @@ def test_dict_roundtrip(pdf):
     assert list(decoded) == list(pdf["flag"])
 
 
-def test_shared_dicts(pdf):
-    t1 = Table.from_pandas(pdf)
-    # a partition with a different value order must agree on codes
-    part = pdf.iloc[[2, 1]].reset_index(drop=True)
-    t2 = Table.from_pandas(part, shared_dicts={"flag": t1.dicts["flag"]})
-    assert list(t2.columns["flag"]) == [t1.columns["flag"][2], t1.columns["flag"][1]]
-
-
-def test_shared_dicts_unknown_value_raises(pdf):
-    t1 = Table.from_pandas(pdf)
-    bad = pd.DataFrame({"flag": ["ZZZ"]})
-    with pytest.raises(ValueError):
-        Table.from_pandas(bad, shared_dicts={"flag": t1.dicts["flag"]})
-
-
-def test_decode(pdf):
-    t = Table.from_pandas(pdf)
-    res = pd.DataFrame({"flag": t.columns["flag"][:2], "x": [1, 2]})
-    out = t.decode(res)
-    assert list(out["flag"]) == ["A", "B"]
-    assert list(out["x"]) == [1, 2]
-
-
-def test_slice(pdf):
-    t = Table.from_pandas(pdf)
-    s = t.slice(1, 3)
-    assert s.n == 2
-    assert list(s.columns["k"]) == [2, 3]
-    assert s.dicts is t.dicts
-
-
 def test_nbytes(pdf):
     t = Table.from_pandas(pdf)
     assert t.nbytes(["k"]) == 4 * 8
@@ -89,12 +58,6 @@ def test_to_oracle_pandas(pdf):
     assert out["day"].iloc[0] == 19940101
     assert list(out["flag"]) == list(pdf["flag"])  # strings untouched
     assert out["price"].dtype == np.float64
-
-
-def test_encode_tables(pdf):
-    enc = encode_tables({"a": pdf, "b": pdf})
-    assert set(enc) == {"a", "b"}
-    assert all(isinstance(t, Table) for t in enc.values())
 
 
 def test_empty_table():
